@@ -70,6 +70,7 @@ func BenchmarkFig8b(b *testing.B) {
 				s := in.TracedSpec(func(a memsim.Addr) { h.Access(a) })
 				e := nest.MustNew(s)
 				e.Run(v)
+				h.Close()
 			}
 		})
 	}

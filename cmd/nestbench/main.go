@@ -156,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 42, "workload seed")
 		repeats    = fs.Int("repeats", 3, "wall-clock repetitions (best is kept)")
 		workers    = fs.Int("workers", 0, "parallel dimension (see -h flag matrix): 0 = off")
-		simWorkers = fs.Int("simworkers", 1, "cache-simulation shard workers: <= 1 sequential, > 1 set-partitioned parallel engine (stats bit-identical either way)")
+		simWorkers = fs.Int("simworkers", 1, "cache-simulation shard workers: <= 1 one shard (the in-order walk, pipelined), > 1 set-partitioned shards (stats bit-identical either way)")
 		geometry   = fs.String("geometry", "", "simulated cache hierarchy, e.g. \"32K/64:8,256K/64:8,20M/64:20\" (empty = scaled default)")
 		variant    = fs.String("variant", "twisted", "schedule for -exp bench, legacy variant form (original, interchanged, twisted, twisted-cutoff[:N]); alias for -schedule")
 		schedule   = fs.String("schedule", "", "schedule for -exp bench as an algebra expression, e.g. \"stripmine(64)\u2218twist(flagged)\" (mutually exclusive with -variant)")

@@ -1,8 +1,9 @@
 // Package doclint is a test-only lint: it fails the build's test step when a
 // package loses its godoc package comment, when one of the contract-bearing
-// packages (obs, nest, memsim, sched) exports an undocumented identifier, or
+// packages (obs, nest, memsim, sched) exports an undocumented identifier,
 // when an internal package is missing from the DESIGN.md §2 system
-// inventory. CI runs it as the doc-comment gate next to go vet.
+// inventory, or when a test measures allocations while running in parallel.
+// CI runs it as the doc-comment gate next to go vet.
 package doclint
 
 import (
@@ -213,4 +214,95 @@ func funcName(d *ast.FuncDecl) string {
 	}
 	b.WriteString(d.Name.Name)
 	return b.String()
+}
+
+// TestAllocsPerRunIsSerial rejects testing.AllocsPerRun in any test
+// function that also calls Parallel. AllocsPerRun reads the process-wide
+// malloc count, so a test running beside parallel siblings counts their
+// allocations too, and an allocation bound becomes a flake.
+func TestAllocsPerRunIsSerial(t *testing.T) {
+	root := repoRoot(t)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		for _, name := range parallelAllocTests(file) {
+			t.Errorf("%s: %s calls testing.AllocsPerRun and Parallel; allocation counts need a serial test", rel, name)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParallelAllocTestsDetects pins the lint on a synthetic file: a
+// parallel subtest measuring allocations is caught, a serial one is not.
+func TestParallelAllocTestsDetects(t *testing.T) {
+	const src = `package p
+import "testing"
+func TestBad(t *testing.T) {
+	t.Run("sub", func(t *testing.T) {
+		t.Parallel()
+		_ = testing.AllocsPerRun(1, func() {})
+	})
+}
+func TestGood(t *testing.T) { _ = testing.AllocsPerRun(1, func() {}) }
+func TestOtherParallel(t *testing.T) { t.Parallel() }
+`
+	file, err := parser.ParseFile(token.NewFileSet(), "p_test.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := parallelAllocTests(file); len(got) != 1 || got[0] != "TestBad" {
+		t.Fatalf("flagged %v, want [TestBad]", got)
+	}
+}
+
+// parallelAllocTests returns the top-level functions of file whose bodies,
+// subtests included, call both testing.AllocsPerRun and X.Parallel().
+func parallelAllocTests(file *ast.File) []string {
+	var out []string
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		var allocs, parallel bool
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch x, _ := sel.X.(*ast.Ident); {
+			case sel.Sel.Name == "AllocsPerRun" && x != nil && x.Name == "testing":
+				allocs = true
+			case sel.Sel.Name == "Parallel" && len(call.Args) == 0:
+				parallel = true
+			}
+			return true
+		})
+		if allocs && parallel {
+			out = append(out, fn.Name.Name)
+		}
+	}
+	return out
 }

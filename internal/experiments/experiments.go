@@ -76,16 +76,17 @@ func Geometry() []memsim.CacheConfig {
 // pins the simulated hierarchy it was measured on.
 func GeometryString() string { return memsim.FormatGeometry(simLevels) }
 
-// SimHierarchy returns a fresh sequential simulator over the current
-// geometry (see SetGeometry). Harness code that wants the parallel engine
-// goes through memsim.New with Config.SimWorkers instead, as newSim does.
+// SimHierarchy returns a fresh one-shard simulator over the current
+// geometry (see SetGeometry): one in-order walk, pipelined on its own
+// worker goroutine. The caller owns the Close that stops the worker.
 func SimHierarchy() memsim.Simulator {
 	return newSim(1)
 }
 
-// newSim builds a simulator over the current geometry: sequential for
-// simWorkers <= 1, set-partitioned parallel otherwise (bit-identical stats
-// either way; DESIGN.md §4.8). Callers own the Close.
+// newSim builds a simulator over the current geometry with simWorkers
+// set-partitioned shards; <= 1 means one shard, the pipelined sequential
+// walk (bit-identical stats at every count; DESIGN.md §4.8). Callers own
+// the Close.
 func newSim(simWorkers int) memsim.Simulator {
 	return memsim.MustNew(memsim.Config{Levels: simLevels, SimWorkers: simWorkers})
 }
@@ -168,10 +169,11 @@ func missRates(in *workloads.Instance, v nest.Variant) []memsim.LevelStats {
 // interleaving — like real shared-cache timing — is not deterministic, but
 // every access is simulated exactly once).
 //
-// simWorkers drives the simulator consuming the trace: <= 1 sequential,
-// > 1 the set-partitioned parallel engine — stats are bit-identical either
-// way for the same delivered trace (DESIGN.md §4.8), so the dimension buys
-// simulation throughput without perturbing any deterministic signal.
+// simWorkers sizes the simulator consuming the trace: <= 1 one shard (the
+// pipelined sequential walk), > 1 that many set-partitioned shards — stats
+// are bit-identical either way for the same delivered trace (DESIGN.md
+// §4.8), so the dimension buys simulation throughput without perturbing any
+// deterministic signal.
 //
 // A Stream is single-shot (Close flushes and seals it), so each of the two
 // runs — warmup then measure — builds a fresh Stream over the one persistent
@@ -193,7 +195,6 @@ func missRatesWith(in *workloads.Instance, v nest.Variant, workers, simWorkers i
 		for w := range sinks {
 			sinks[w] = st.Sink()
 		}
-		trace := in.Trace
 		e := nest.MustNew(in.Spec)
 		_, err := e.RunWith(nest.RunConfig{
 			Variant:    v,
@@ -203,9 +204,9 @@ func missRatesWith(in *workloads.Instance, v nest.Variant, workers, simWorkers i
 			Recorder:   rec,
 			ForTask:    in.ForTask,
 			WrapWork: func(w int, work func(o, i tree.NodeID)) func(o, i tree.NodeID) {
-				emit := sinks[w].Emit
+				trace := in.Tracer(sinks[w].Emit)
 				return func(o, i tree.NodeID) {
-					trace(o, i, emit)
+					trace(o, i)
 					work(o, i)
 				}
 			},
@@ -277,9 +278,10 @@ type Fig7Row struct {
 	ParSpeedup float64
 
 	// SimSeq/SimPar time the trace-driven cache simulation of the twisted
-	// schedule on the sequential engine and on the set-partitioned parallel
-	// engine with the requested shard-worker count (zero when the sim phase
-	// is off); SimSpeedup is SimSeq/SimPar. Wall clocks, hence noisy.
+	// schedule on the one-shard engine (the in-order walk, pipelined behind
+	// trace generation) and on the engine with the requested shard count
+	// (zero when the sim phase is off); SimSpeedup is SimSeq/SimPar. Wall
+	// clocks, hence noisy.
 	SimSeq     time.Duration
 	SimPar     time.Duration
 	SimSpeedup float64
@@ -301,8 +303,8 @@ type Fig7Row struct {
 // work-stealing executor at 1 and at workers workers, verifies every run's
 // checksum against the baseline, and verifies the two parallel runs' merged
 // Stats are identical — the determinism contract of the executor. With
-// simWorkers >= 1 it also runs the twisted trace through the sequential and
-// the set-partitioned parallel cache simulator, verifies their stats are
+// simWorkers >= 1 it also runs the twisted trace through the one-shard and
+// the simWorkers-shard cache simulator, verifies their stats are
 // bit-identical (the §4.8 determinism contract — a mismatch is an error,
 // which is what the CI gate leans on), and reports both sim wall clocks plus
 // the L2/L3 miss rates.
@@ -352,8 +354,8 @@ func Fig7(scale int, seed int64, repeats, workers, simWorkers int) ([]Fig7Row, e
 	return rows, nil
 }
 
-// simPhase runs the twisted trace of in through the sequential simulator and
-// through the parallel simulator with simWorkers shard workers, times both
+// simPhase runs the twisted trace of in through the one-shard simulator and
+// through the simulator with simWorkers shard workers, times both
 // (the clock covers trace generation plus simulation, stopping only after
 // Stats() has drained every in-flight batch), errors unless the two engines'
 // per-level stats are bit-identical, and fills the row's Sim* columns.
@@ -462,8 +464,8 @@ type Fig8bRow struct {
 // reproduces the paper's sequential figure through the streaming pipeline;
 // workers > 1 simulates the parallel twisted execution in merge mode, with
 // all workers' interleaved accesses sharing the one hierarchy. simWorkers
-// sizes the simulator itself (sequential vs set-partitioned parallel; the
-// rates are bit-identical either way).
+// sizes the simulator itself (the shard count; the rates are bit-identical
+// at every count).
 func Fig8b(scale int, seed int64, workers, simWorkers int) ([]Fig8bRow, error) {
 	defer obs.Span(rec, "experiments.fig8b")()
 	var rows []Fig8bRow

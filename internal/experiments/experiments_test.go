@@ -184,7 +184,9 @@ func TestTblItersShape(t *testing.T) {
 }
 
 func TestSimHierarchyLevels(t *testing.T) {
-	st := SimHierarchy().Stats()
+	sim := SimHierarchy()
+	defer sim.Close()
+	st := sim.Stats()
 	if len(st) != 3 || st[0].Name != "L1" || st[1].Name != "L2" || st[2].Name != "L3" {
 		t.Fatalf("levels = %+v", st)
 	}

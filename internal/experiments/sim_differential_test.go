@@ -11,11 +11,11 @@ import (
 
 // The acceptance differential for the parallel simulator on real traces: for
 // every benchmark in the suite, the set-partitioned engine at several worker
-// counts produces per-level stats bit-identical to the sequential engine on
-// the same twisted-schedule trace. (memsim's own differential tests cover
-// synthetic traces; this one covers the six workloads' actual access
-// patterns — pointer-chasing cross products, truncated traversals, k-d
-// sweeps.) Table-driven: one parallel subtest per bench, materializing its
+// counts produces per-level stats bit-identical to the one-shard engine (the
+// pipelined sequential walk) on the same twisted-schedule trace. (memsim's
+// own differential tests pin both against the inline Hierarchy on synthetic
+// traces; this one covers the six workloads' actual access patterns —
+// pointer-chasing cross products, truncated traversals, k-d sweeps.) Table-driven: one parallel subtest per bench, materializing its
 // own trace, with a nested subtest per worker count.
 func TestShardedSimMatchesSequentialOnSuite(t *testing.T) {
 	suiteNames := []string{"TJ", "MM", "PC", "NN", "KNN", "VP"}

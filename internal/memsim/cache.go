@@ -119,8 +119,8 @@ type Hierarchy struct {
 // NewHierarchy builds a hierarchy from the given level configs, ordered from
 // closest (L1) to farthest (LLC).
 //
-// Deprecated: construct simulators through New(Config{Levels: cfgs}); this
-// remains as the sequential engine behind it and for existing callers.
+// Deprecated: construct simulators through New(Config{Levels: cfgs}); a
+// Hierarchy remains the inline walk each shard of that simulator runs.
 func NewHierarchy(cfgs ...CacheConfig) (*Hierarchy, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("memsim: hierarchy needs at least one level")
@@ -182,9 +182,8 @@ func (h *Hierarchy) Access(a Addr) {
 	}
 }
 
-// AccessBatch simulates the loads of as in order. It is the consumption
-// side of the streaming trace pipeline (see Stream): batching amortizes the
-// Stream's lock over thousands of accesses.
+// AccessBatch simulates the loads of as in order. A shard worker walks each
+// dispatched batch through it (see ShardedHierarchy).
 func (h *Hierarchy) AccessBatch(as []Addr) {
 	for _, a := range as {
 		h.Access(a)
@@ -243,8 +242,8 @@ func publishLevels(r obs.Recorder, prefix string, stats []LevelStats) {
 	}
 }
 
-// Close implements Simulator; the sequential engine has no background
-// resources, so it is a no-op.
+// Close implements Simulator; the inline walk has no background resources,
+// so it is a no-op.
 func (h *Hierarchy) Close() {}
 
 // Mapper assigns addresses to arena tree nodes: node k of the tree lives at

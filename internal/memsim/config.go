@@ -11,10 +11,11 @@ import (
 // The unified construction path. Earlier revisions grew four entry points —
 // NewHierarchy, MustNewHierarchy, Default, and NewStream(h, batch) — with
 // the parallel simulator about to add more. New(Config) replaces them: one
-// config, one constructor, one Simulator interface that both the sequential
-// Hierarchy and the set-partitioned ShardedHierarchy satisfy, so every
-// consumer (experiments, workloads, nestbench) is written against the
-// interface and picks sequential or parallel simulation with a single field.
+// config, one constructor, one Simulator interface, so every consumer
+// (experiments, workloads, serve, nestbench) is written against the
+// interface and sizes the simulation with a single field. New always builds
+// the set-partitioned ShardedHierarchy; the sequential Hierarchy is the walk
+// each of its shards runs.
 
 // Config describes a simulator: the cache levels (closest first) and how to
 // run them.
@@ -22,25 +23,26 @@ type Config struct {
 	// Levels are the cache levels, L1 first. Required.
 	Levels []CacheConfig
 
-	// SimWorkers selects the engine: <= 1 builds the sequential Hierarchy,
-	// > 1 builds a ShardedHierarchy with that many set-partitioned shard
-	// workers (clamped to the set count of the smallest level; see
-	// NewSharded). Both engines produce bit-identical Stats for the same
-	// trace (DESIGN.md §4.8).
+	// SimWorkers is the number of set-partitioned shard workers, clamped
+	// to the set count of the smallest level (see NewSharded); <= 1 means
+	// one. A single shard walks the whole trace in order on its own
+	// goroutine, pipelined behind the producer; more shards split the walk
+	// by cache set. Every shard count produces Stats bit-identical to the
+	// inline sequential walk (DESIGN.md §4.8).
 	SimWorkers int
 
-	// Batch is the shard dispatch granularity in addresses for the parallel
-	// engine; <= 0 means DefaultBatch. The sequential engine ignores it.
+	// Batch is the shard dispatch granularity in addresses; <= 0 means
+	// DefaultBatch.
 	Batch int
 }
 
 // Simulator is the trace-driven cache simulation behind every miss-rate
 // figure: feed it line-aligned addresses, read per-level statistics.
-// Hierarchy implements it sequentially; ShardedHierarchy implements it with
-// set-partitioned parallel shards and bit-identical merged Stats. The
-// producer side (Access/AccessBatch and the inspection methods) must be
-// confined to one goroutine at a time — Stream serializes concurrent trace
-// producers on top of either engine.
+// ShardedHierarchy, which New builds, runs it on shard worker goroutines;
+// Hierarchy runs it inline on the caller's goroutine. Both produce
+// bit-identical Stats. The producer side (Access/AccessBatch and the
+// inspection methods) must be confined to one goroutine at a time — Stream
+// serializes concurrent trace producers on top of either.
 type Simulator interface {
 	// Access simulates one load of the byte at a.
 	Access(a Addr)
@@ -57,18 +59,17 @@ type Simulator interface {
 	// Publish emits the simulator's counters into r under prefix
 	// (per-level merged counts; the parallel engine adds per-shard views).
 	Publish(r obs.Recorder, prefix string)
-	// Close releases any background resources (shard workers). The
-	// sequential engine's Close is a no-op; Stats remain readable after.
+	// Close releases any background resources (shard workers). Hierarchy's
+	// Close is a no-op; Stats remain readable after.
 	Close()
 }
 
-// New builds the simulator described by cfg: a *Hierarchy when
-// cfg.SimWorkers <= 1, a *ShardedHierarchy otherwise.
+// New builds the simulator described by cfg: a *ShardedHierarchy with
+// max(cfg.SimWorkers, 1) shards. Even one shard runs its LRU walk on a
+// worker goroutine, so the caller's trace production and the simulation
+// overlap on two cores. The caller owns the Close that stops the workers.
 func New(cfg Config) (Simulator, error) {
-	if cfg.SimWorkers > 1 {
-		return NewSharded(cfg.Levels, cfg.SimWorkers, cfg.Batch)
-	}
-	return NewHierarchy(cfg.Levels...)
+	return NewSharded(cfg.Levels, max(cfg.SimWorkers, 1), cfg.Batch)
 }
 
 // MustNew is New that panics on error, for geometries known valid at

@@ -2,22 +2,20 @@ package memsim
 
 import "testing"
 
+// TestNewSelectsEngine pins New's contract: every simulator is the
+// set-partitioned engine, with one shard (a pipelined sequential walk) for
+// SimWorkers 0 or 1 and the requested shard count above that.
 func TestNewSelectsEngine(t *testing.T) {
-	for workers, want := range map[int]string{0: "*memsim.Hierarchy", 1: "*memsim.Hierarchy"} {
+	for workers, want := range map[int]int{0: 1, 1: 1, 4: 4} {
 		sim := MustNew(Config{Levels: DefaultLevels(), SimWorkers: workers})
-		if got := typeName(sim); got != want {
-			t.Fatalf("SimWorkers=%d built %s, want %s", workers, got, want)
+		sh, ok := sim.(*ShardedHierarchy)
+		if !ok {
+			t.Fatalf("SimWorkers=%d built %T, want *ShardedHierarchy", workers, sim)
+		}
+		if sh.Shards() != want {
+			t.Fatalf("SimWorkers=%d: Shards() = %d, want %d", workers, sh.Shards(), want)
 		}
 		sim.Close()
-	}
-	sim := MustNew(Config{Levels: DefaultLevels(), SimWorkers: 4})
-	defer sim.Close()
-	sh, ok := sim.(*ShardedHierarchy)
-	if !ok {
-		t.Fatalf("SimWorkers=4 built %T, want *ShardedHierarchy", sim)
-	}
-	if sh.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", sh.Shards())
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")
@@ -25,16 +23,6 @@ func TestNewSelectsEngine(t *testing.T) {
 	if _, err := New(Config{Levels: DefaultLevels()[:1], SimWorkers: 2}); err != nil {
 		t.Fatalf("single-level sharded config rejected: %v", err)
 	}
-}
-
-func typeName(v any) string {
-	switch v.(type) {
-	case *Hierarchy:
-		return "*memsim.Hierarchy"
-	case *ShardedHierarchy:
-		return "*memsim.ShardedHierarchy"
-	}
-	return "?"
 }
 
 func TestParseGeometryPaper(t *testing.T) {

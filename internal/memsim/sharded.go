@@ -9,7 +9,8 @@ import (
 	"twist/internal/obs"
 )
 
-// Set-partitioned parallel cache simulation.
+// Set-partitioned parallel cache simulation, and with one shard the
+// pipelined sequential one.
 //
 // Set-associative LRU state is independent per cache set: the contents and
 // the hit/miss/eviction outcome of a set depend only on the subsequence of
@@ -23,13 +24,18 @@ import (
 // sequential trace against the exact sets it owns. The merged per-level
 // totals are therefore bit-identical to the sequential simulator's, not
 // approximately equal; DESIGN.md §4.8 gives the argument in full.
+//
+// New builds this engine for every simulation. One shard owns every set and
+// replays the whole trace in order; its point is the pipeline, not the
+// partition: the producer traces the next batch while the worker walks the
+// last one.
 
 // shardQueueCap is the per-shard work-queue depth in batches. Deep enough to
 // ride out shard imbalance bursts, shallow enough that a drain is prompt.
 const shardQueueCap = 64
 
-// ShardedHierarchy is the parallel Simulator: the routing half runs on the
-// caller's goroutine, the LRU walks run on the shard workers. Like
+// ShardedHierarchy is the Simulator New builds: the routing half runs on
+// the caller's goroutine, the LRU walks run on the shard workers. Like
 // Hierarchy, the producer side (Access, AccessBatch, and the quiescing
 // methods Stats/Reset/ResetStats/Publish/Close) must be confined to one
 // goroutine at a time; Stream provides that serialization for concurrent
@@ -64,8 +70,8 @@ type simShard struct {
 // over the given levels (closest first). workers is clamped to the number of
 // distinct routing keys — the set count of the smallest level — since finer
 // partitioning than one shard per set cannot exist. batch <= 0 means
-// DefaultBatch. Callers normally reach this through New with
-// Config.SimWorkers > 1.
+// DefaultBatch. Callers normally reach this through New. Every shard runs a
+// worker goroutine, parked while idle; Close stops them.
 func NewSharded(cfgs []CacheConfig, workers, batch int) (*ShardedHierarchy, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("memsim: sharded simulator needs at least one worker, got %d", workers)
@@ -73,8 +79,8 @@ func NewSharded(cfgs []CacheConfig, workers, batch int) (*ShardedHierarchy, erro
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	// Validate once up front (and compute the routing mask) before building
-	// any per-shard state.
+	// Validate once up front and compute the routing mask; the validating
+	// hierarchy becomes shard 0's.
 	probe, err := NewHierarchy(cfgs...)
 	if err != nil {
 		return nil, err
@@ -97,9 +103,9 @@ func NewSharded(cfgs []CacheConfig, workers, batch int) (*ShardedHierarchy, erro
 		stage:     make([][]Addr, workers),
 	}
 	for k := range s.shards {
-		h, err := NewHierarchy(cfgs...)
-		if err != nil {
-			return nil, err
+		h := probe
+		if k > 0 {
+			h = MustNewHierarchy(cfgs...) // validated above
 		}
 		s.shards[k] = &simShard{h: h, q: newSPSC(shardQueueCap), free: newSPSC(shardQueueCap)}
 		s.stage[k] = make([]Addr, 0, batch)
@@ -109,9 +115,10 @@ func NewSharded(cfgs []CacheConfig, workers, batch int) (*ShardedHierarchy, erro
 	return s, nil
 }
 
-// worker is one shard's consumer loop: pop a batch, walk the LRU state,
-// recycle the buffer, signal completion. Decrementing pending after the walk
-// is what lets a drained producer read this shard's state race-free.
+// worker is one shard's consumer loop: pop a batch (parking while the ring
+// stays empty), walk the LRU state, recycle the buffer, signal completion.
+// Decrementing pending after the walk is what lets a drained producer read
+// this shard's state race-free.
 func (s *ShardedHierarchy) worker(sh *simShard) {
 	defer s.wg.Done()
 	for {
@@ -149,8 +156,21 @@ func (s *ShardedHierarchy) Access(a Addr) {
 
 // AccessBatch routes the loads of as in order. Per-shard order is the
 // arrival order, so a sequential trace reaches every set in its sequential
-// order — the invariant behind the bit-identical merge.
+// order — the invariant behind the bit-identical merge. With one shard
+// there is nothing to route: whole runs are copied into the staged batch.
 func (s *ShardedHierarchy) AccessBatch(as []Addr) {
+	if len(s.shards) == 1 {
+		for len(as) > 0 {
+			st := s.stage[0]
+			n := copy(st[len(st):cap(st)], as)
+			s.stage[0] = st[:len(st)+n]
+			as = as[n:]
+			if len(st)+n == cap(st) {
+				s.dispatch(0)
+			}
+		}
+		return
+	}
 	for _, a := range as {
 		s.Access(a)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 // threeLevels is a small validated geometry whose smallest level has 8 sets,
@@ -35,7 +36,7 @@ func randomTrace(n int, spread int, seed int64) []Addr {
 func TestShardedMatchesSequential(t *testing.T) {
 	t.Parallel()
 	trace := randomTrace(200_000, 1<<12, 7)
-	seq := MustNew(Config{Levels: threeLevels()})
+	seq := MustNewHierarchy(threeLevels()...)
 	seq.AccessBatch(trace)
 	want := seq.Stats()
 	for _, workers := range []int{1, 2, 3, 4, 8, 64} {
@@ -70,7 +71,7 @@ func TestShardedResetStatsMatchesSequential(t *testing.T) {
 		sim.Close()
 		return st
 	}
-	want := run(MustNew(Config{Levels: threeLevels()}))
+	want := run(MustNewHierarchy(threeLevels()...))
 	got := run(MustNew(Config{Levels: threeLevels(), SimWorkers: 4, Batch: 64}))
 	for li := range want {
 		if got[li] != want[li] {
@@ -120,6 +121,42 @@ func TestShardRoutingColocatesSets(t *testing.T) {
 			t.Fatalf("shard %d out of range", ka)
 		}
 	}
+}
+
+// TestIdleShardGoroutineParks checks that an idle shard worker parks
+// instead of polling, so an abandoned simulator costs no CPU, and that a
+// dispatched batch wakes it: the stats after a park match the inline walk.
+func TestIdleShardGoroutineParks(t *testing.T) {
+	t.Parallel()
+	sh, err := NewSharded(threeLevels(), 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	waitParked := func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for _, s := range sh.shards {
+			for !s.q.parked.Load() {
+				if time.Now().After(deadline) {
+					t.Fatal("idle shard worker never parked")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	waitParked()
+	trace := randomTrace(20_000, 1<<10, 9)
+	seq := MustNewHierarchy(threeLevels()...)
+	seq.AccessBatch(trace)
+	sh.AccessBatch(trace)
+	got, want := sh.Stats(), seq.Stats()
+	for li := range want {
+		if got[li] != want[li] {
+			t.Fatalf("level %s after park: %+v, want %+v", want[li].Name, got[li], want[li])
+		}
+	}
+	waitParked()
 }
 
 // Close is idempotent and Stats stay readable afterwards.
@@ -187,7 +224,7 @@ func FuzzShardRouting(f *testing.F) {
 			{Name: "L1", SizeBytes: 512, LineBytes: 64, Ways: 2}, // 4 sets
 			{Name: "L2", SizeBytes: 2 << 10, LineBytes: 64, Ways: 4},
 		}
-		seq := MustNew(Config{Levels: levels})
+		seq := MustNewHierarchy(levels...)
 		seq.AccessBatch(trace)
 		want := seq.Stats()
 		sim := MustNew(Config{Levels: levels, SimWorkers: workers, Batch: 16})

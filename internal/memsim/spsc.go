@@ -31,7 +31,17 @@ type spscRing struct {
 	tail  atomic.Uint64 // next slot to push
 	_     [56]byte
 	done  atomic.Bool
+
+	// parked is set while a pop waits on wake; the producer then hands a
+	// token to wake after publishing a slot or closing the ring.
+	parked atomic.Bool
+	wake   chan struct{}
 }
+
+// popSpins is how many scheduler yields an empty pop makes before it parks.
+// A pipelined producer is usually only a batch away, and parking costs the
+// producer a wakeup; an abandoned ring must not cost CPU at all.
+const popSpins = 64
 
 // newSPSC returns a ring with capacity rounded up to a power of two.
 func newSPSC(capacity int) *spscRing {
@@ -39,12 +49,39 @@ func newSPSC(capacity int) *spscRing {
 	for c < capacity {
 		c <<= 1
 	}
-	return &spscRing{slots: make([][]Addr, c), mask: uint64(c - 1)}
+	return &spscRing{slots: make([][]Addr, c), mask: uint64(c - 1), wake: make(chan struct{}, 1)}
 }
 
 // close marks the ring finished. The producer calls it after its final push;
 // a blocked pop then drains the remaining slots and returns false.
-func (q *spscRing) close() { q.done.Store(true) }
+func (q *spscRing) close() {
+	q.done.Store(true)
+	q.unpark()
+}
+
+// park blocks the consumer until the producer moves tail past head or
+// closes the ring. Setting parked before re-reading tail and done, against
+// the producer publishing before reading parked, means at least one side
+// sees the other: either the re-read finds the new slot, or the producer
+// finds parked set and hands over a token. A token left over from a race
+// both sides saw only makes the next park return early.
+func (q *spscRing) park(head uint64) {
+	q.parked.Store(true)
+	if head == q.tail.Load() && !q.done.Load() {
+		<-q.wake
+	}
+	q.parked.Store(false)
+}
+
+// unpark wakes a parked consumer; the producer calls it after publishing.
+func (q *spscRing) unpark() {
+	if q.parked.Load() {
+		select {
+		case q.wake <- struct{}{}:
+		default: // a token is already pending
+		}
+	}
+}
 
 // push enqueues b, blocking while the ring is full. It reports false if the
 // ring was closed instead.
@@ -59,6 +96,7 @@ func (q *spscRing) push(b []Addr) bool {
 	}
 	q.slots[tail&q.mask] = b
 	q.tail.Store(tail + 1)
+	q.unpark()
 	return true
 }
 
@@ -70,19 +108,24 @@ func (q *spscRing) tryPush(b []Addr) bool {
 	}
 	q.slots[tail&q.mask] = b
 	q.tail.Store(tail + 1)
+	q.unpark()
 	return true
 }
 
-// pop dequeues the next batch, blocking while the ring is empty. It reports
-// false once the ring is closed and fully drained.
+// pop dequeues the next batch, blocking while the ring is empty: it yields
+// popSpins times, then parks until the producer wakes it. It reports false
+// once the ring is closed and fully drained.
 func (q *spscRing) pop() ([]Addr, bool) {
 	head := q.head.Load()
-	var w backoff
-	for head == q.tail.Load() {
+	for spins := 0; head == q.tail.Load(); spins++ {
 		if q.done.Load() && head == q.tail.Load() {
 			return nil, false
 		}
-		w.wait()
+		if spins < popSpins {
+			runtime.Gosched()
+			continue
+		}
+		q.park(head)
 	}
 	b := q.slots[head&q.mask]
 	q.slots[head&q.mask] = nil
@@ -102,9 +145,9 @@ func (q *spscRing) tryPop() ([]Addr, bool) {
 	return b, true
 }
 
-// backoff escalates a wait from scheduler yields to short sleeps, so a side
-// blocked on a full or empty ring stops burning its core while staying
-// responsive in the common case where the other side is only a batch away.
+// backoff escalates a wait from scheduler yields to short sleeps, so a
+// producer blocked on a full ring, or draining, stops burning its core while
+// staying responsive: the worker it waits for is busy and only a batch away.
 type backoff int
 
 func (w *backoff) wait() {

@@ -22,10 +22,11 @@ import (
 // workers sharing one cache — the honest analogue of hardware threads on a
 // shared LLC, where the interleaving is likewise timing-dependent.
 //
-// A Stream fronts any Simulator. Over the sequential Hierarchy the consume
-// path runs the LRU walk inline under the stream lock; over a
-// ShardedHierarchy the consume path only routes — the walk happens on the
-// shard workers, so trace production and simulation pipeline.
+// A Stream fronts any Simulator. Over the ShardedHierarchy that New builds,
+// the consume path only copies a full batch into the simulator's staging
+// buffer (or routes it by set, with several shards) and hands it to a shard
+// worker, so the LRU walk runs on another core while the producer goes on
+// tracing. With one shard the pipelined walk sees the exact emission order.
 
 // DefaultBatch is the default Sink capacity in addresses (32 KiB per sink).
 const DefaultBatch = 4096
@@ -143,24 +144,6 @@ func (sk *Sink) Emit(a Addr) {
 	if sk.n == len(sk.buf) {
 		sk.st.consume(sk.buf)
 		sk.n = 0
-	}
-}
-
-// EmitBatch appends a whole run of addresses in order, flushing exactly as
-// the buffer fills. It is equivalent to calling Emit for each element —
-// identical batch boundaries, so simulated stats are bit-identical — but
-// costs one copy and one flush test per run instead of per address. The
-// traced-run harnesses use it to emit each visit's accesses as one batch
-// (workloads.Instance.RunSink).
-func (sk *Sink) EmitBatch(as []Addr) {
-	for len(as) > 0 {
-		n := copy(sk.buf[sk.n:], as)
-		sk.n += n
-		as = as[n:]
-		if sk.n == len(sk.buf) {
-			sk.st.consume(sk.buf)
-			sk.n = 0
-		}
 	}
 }
 

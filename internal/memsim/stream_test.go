@@ -118,10 +118,12 @@ type recorderMap map[string]int64
 func (m recorderMap) Count(name string, delta int64) { m[name] += delta }
 func (m recorderMap) Time(string, time.Duration)     {}
 
-// The streaming pipeline's point: emitting a long trace allocates nothing
-// after setup — memory stays O(cache geometry + batch), not O(trace).
+// TestStreamEmitDoesNotAllocate checks the streaming pipeline's point:
+// emitting a long trace allocates nothing after setup — memory stays
+// O(cache geometry + batch), not O(trace). It runs serially: AllocsPerRun
+// reads the process-wide malloc count, so a parallel sibling's allocations
+// would be charged to the emit path.
 func TestStreamEmitDoesNotAllocate(t *testing.T) {
-	t.Parallel()
 	h := smallHierarchy()
 	st := NewStream(h, 0)
 	sk := st.Sink()

@@ -72,10 +72,9 @@ type RunConfig struct {
 
 	// SimWorkers sizes the trace-driven cache simulation attached to the
 	// run, when there is one (a WrapWork hook feeding a memsim Stream):
-	// <= 1 keeps the sequential simulator, > 1 asks the harness for a
-	// set-partitioned parallel simulator with that many shard workers
-	// (memsim.Config.SimWorkers; stats stay bit-identical either way —
-	// DESIGN.md §4.8). The executor itself does not simulate; it carries
+	// <= 1 asks the harness for one simulator shard, > 1 for that many
+	// set-partitioned shards (memsim.Config.SimWorkers; stats stay
+	// bit-identical either way — DESIGN.md §4.8). The executor itself does not simulate; it carries
 	// the dimension with the run and reports it as "nest.simworkers" so a
 	// run's telemetry pins the simulation configuration it was measured
 	// under.

@@ -63,6 +63,8 @@ type RunResult struct {
 	// MissRates are the simulated per-level cache statistics of the traced
 	// sequential run under the spec's geometry (warmup pass, stats reset,
 	// measured pass — the steady-state protocol of internal/experiments).
+	// With workers 1 the measured pass is also the run the Stats, EngineOps,
+	// and Checksum come from; there is no separate untraced run.
 	MissRates []LevelMissRate `json:"miss_rates"`
 }
 
@@ -112,26 +114,12 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 		Geometry: s.Geometry, Layout: s.Layout, Engine: s.Engine,
 	}
 
-	// Phase 1: the engine run under the requested executor. Merged Stats
-	// are deterministic across worker counts (fixed spawn depth), so the
-	// response body does not depend on scheduling.
-	if s.Workers <= 1 {
-		st, engOps, err := in.RunSeq(ctx, v, func(e *nest.Exec) {
-			e.Flags = fm
-			e.Engine = eng
-		})
-		if err != nil {
-			return nil, err
-		}
-		if rec != nil {
-			st.Record(rec, "nest")
-			rec.Count("nest.engine.ops", engOps)
-			rec.Count("nest.engine."+eng.String(), 1)
-		}
-		res.Stats = st
-		res.EngineOps = engOps
-		res.Tasks = 1
-	} else {
+	// A parallel request runs the engine once under its executor: merged
+	// Stats are deterministic across worker counts (fixed spawn depth), so
+	// the response body does not depend on scheduling. The checksum is read
+	// before UnderLayout, whose schedule-order recording Resets the
+	// instance.
+	if s.Workers > 1 {
 		r, err := in.RunWith(nest.RunConfig{
 			Variant:  v,
 			Engine:   eng,
@@ -147,11 +135,10 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 		res.Stats = r.Stats
 		res.EngineOps = r.EngineOps
 		res.Tasks = r.Tasks
+		res.Checksum = obs.FormatUint(in.Checksum())
 	}
-	res.Ops = res.Stats.Ops()
-	res.Checksum = obs.FormatUint(in.Checksum())
 
-	// Phase 2: simulated miss rates from the traced *sequential* run — one
+	// Simulated miss rates come from the traced *sequential* run — one
 	// sink, so the simulated access order (and thus every counter) is a
 	// pure function of the spec, independent of the engine worker count.
 	// The spec's layout applies here: node addresses are generated under
@@ -170,13 +157,16 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 	}
 	sim := memsim.MustNew(memsim.Config{Levels: levels, SimWorkers: s.SimWorkers})
 	defer sim.Close()
+	var st nest.Stats
+	var engOps int64
 	tracedRun := func() error {
-		st := memsim.NewStream(sim, 0)
-		_, _, err := lin.RunSink(ctx, v, st.Sink(), func(e *nest.Exec) {
+		stream := memsim.NewStream(sim, 0)
+		var err error
+		st, engOps, err = lin.RunSink(ctx, v, stream.Sink(), func(e *nest.Exec) {
 			e.Flags = fm
 			e.Engine = eng
 		})
-		st.Close()
+		stream.Close()
 		return err
 	}
 	if err := tracedRun(); err != nil { // warmup
@@ -186,6 +176,21 @@ func (s *RunSpec) exec(ctx context.Context, rec obs.Recorder) (any, error) {
 	if err := tracedRun(); err != nil {
 		return nil, err
 	}
+	// A sequential request needs no separate engine run: the measured
+	// traced pass is that run. Tracing only adds memory accesses, so its
+	// Stats, engine ops, and checksum are the untraced run's.
+	if s.Workers <= 1 {
+		if rec != nil {
+			st.Record(rec, "nest")
+			rec.Count("nest.engine.ops", engOps)
+			rec.Count("nest.engine."+eng.String(), 1)
+		}
+		res.Stats = st
+		res.EngineOps = engOps
+		res.Tasks = 1
+		res.Checksum = obs.FormatUint(in.Checksum())
+	}
+	res.Ops = res.Stats.Ops()
 	if rec != nil {
 		sim.Publish(rec, "serve.memsim")
 	}

@@ -145,8 +145,9 @@ type RunSpec struct {
 	// their pre-engine digests; the engine cannot change the checksum,
 	// stats, or miss rates of a job — only how fast it runs.
 	Engine string `json:"engine,omitempty"`
-	// SimWorkers sizes the cache simulation: <= 1 sequential, > 1
-	// set-partitioned shards (stats bit-identical either way, §4.8).
+	// SimWorkers sizes the cache simulation: <= 1 one shard (the in-order
+	// walk, pipelined behind the traced run), > 1 set-partitioned shards
+	// (stats bit-identical either way, §4.8).
 	SimWorkers int `json:"sim_workers,omitempty"`
 	// Geometry is the simulated hierarchy in memsim.ParseGeometry form.
 	// Default DefaultGeometry.

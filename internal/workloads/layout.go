@@ -4,7 +4,6 @@ import (
 	"twist/internal/layout"
 	"twist/internal/memsim"
 	"twist/internal/nest"
-	"twist/internal/tree"
 )
 
 // LayoutSchemes realizes layout kind k for this instance's two arenas. The
@@ -23,36 +22,47 @@ func (in *Instance) LayoutSchemes(k layout.Kind, v nest.Variant) (outer, inner l
 	return layout.Schemes(k, in.Spec, v)
 }
 
-// WithLayout returns a copy of the instance whose Trace generates node
+// WithLayout returns a copy of the instance whose trace generates node
 // addresses under the given per-arena layout schemes: an emitted node
 // access Base + id*64 is rewritten to the node's packed hot-record address
 // (memsim.Remapper), while point-data and matrix accesses pass through
 // untouched — hot/cold splitting moves only the traversal-hot record, and
-// the cold payload arena is never touched by the traversal. Identity
-// schemes return the instance unchanged, byte-for-byte preserving every
-// pre-layout trace. Only addresses change: the traversal, checksum, and
-// operation counts are those of the underlying instance, which is why
-// oracle verdicts and result digests are layout-invariant.
+// the cold payload arena is never touched by the traversal. The schemes map
+// build-order slots, so on an instance already under a layout they replace
+// its rewrite. Identity schemes return the instance unchanged, byte-for-byte
+// preserving every pre-layout trace. Only addresses change: the traversal,
+// checksum, and operation counts are those of the underlying instance,
+// which is why oracle verdicts and result digests are layout-invariant.
+//
+// Tracer applies the rewrite; Trace itself keeps emitting build-order
+// addresses.
 func (in *Instance) WithLayout(outer, inner layout.Scheme) *Instance {
 	if outer.Identity() && inner.Identity() {
 		return in
 	}
-	om := memsim.Remapper{Base: baseOuterNodes, Stride: memsim.Addr(outer.StrideBytes()), Perm: outer.Remap}
-	im := memsim.Remapper{Base: baseInnerNodes, Stride: memsim.Addr(inner.StrideBytes()), Perm: inner.Remap}
-	trace := in.Trace
 	cp := *in
-	cp.Trace = func(o, i tree.NodeID, emit func(memsim.Addr)) {
-		trace(o, i, func(a memsim.Addr) {
-			switch {
-			case a >= baseOuterNodes && a < baseInnerNodes:
-				a = om.Addr(int32((a - baseOuterNodes) / nodeStride))
-			case a >= baseInnerNodes && a < baseOuterData:
-				a = im.Addr(int32((a - baseInnerNodes) / nodeStride))
-			}
-			emit(a)
-		})
+	cp.nodes = &nodeMap{
+		outer: memsim.Remapper{Base: baseOuterNodes, Stride: memsim.Addr(outer.StrideBytes()), Perm: outer.Remap},
+		inner: memsim.Remapper{Base: baseInnerNodes, Stride: memsim.Addr(inner.StrideBytes()), Perm: inner.Remap},
 	}
 	return &cp
+}
+
+// nodeMap is a layout's address rewrite: build-order node addresses of
+// either arena move to their packed slots, every other address is kept.
+type nodeMap struct {
+	outer, inner memsim.Remapper
+}
+
+// addr rewrites one trace address.
+func (m *nodeMap) addr(a memsim.Addr) memsim.Addr {
+	switch {
+	case a >= baseOuterNodes && a < baseInnerNodes:
+		return m.outer.Addr(int32((a - baseOuterNodes) / nodeStride))
+	case a >= baseInnerNodes && a < baseOuterData:
+		return m.inner.Addr(int32((a - baseInnerNodes) / nodeStride))
+	}
+	return a
 }
 
 // UnderLayout is LayoutSchemes followed by WithLayout: the instance with

@@ -128,12 +128,13 @@ func TestLayoutOracleInvariance(t *testing.T) {
 					lin := in.WithLayout(outer, inner)
 					// Replay the layouted trace but do not execute Work: the
 					// oracle's premise is that checks never mutate pruning
-					// state (see OracleSpec), and the layout wrapper still
+					// state (see OracleSpec), and the layout rewrite still
 					// runs on every visit.
 					var seq []oracle.Visit
+					trace := lin.Tracer(func(memsim.Addr) {})
 					s := lin.Spec
 					s.Work = func(o, i tree.NodeID) {
-						lin.Trace(o, i, func(memsim.Addr) {})
+						trace(o, i)
 						seq = append(seq, oracle.Visit{O: o, I: i})
 					}
 					nest.MustNew(s).Run(v)
@@ -159,7 +160,7 @@ func TestWithLayoutRemapsRegions(t *testing.T) {
 	lin := in.WithLayout(outer, inner)
 	o, i := in.Spec.Outer.Root(), in.Spec.Inner.Root()
 	var got []memsim.Addr
-	lin.Trace(o, i, func(a memsim.Addr) { got = append(got, a) })
+	lin.Tracer(func(a memsim.Addr) { got = append(got, a) })(o, i)
 	want := []memsim.Addr{
 		baseInnerNodes + memsim.Addr(inner.Offset(i)),
 		baseOuterNodes + memsim.Addr(outer.Offset(o)),

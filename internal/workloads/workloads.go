@@ -70,7 +70,8 @@ type Instance struct {
 	ExtraOps func() int64
 
 	// Trace appends the addresses one work(o, i) invocation touches, in
-	// access order (inner structure first, per the paper's examples).
+	// access order (inner structure first, per the paper's examples), under
+	// the build-order arena. Tracer applies the instance's layout on top.
 	Trace func(o, i tree.NodeID, emit func(memsim.Addr))
 
 	// ForTask derives a task-private Spec for the parallel executors (pass
@@ -81,6 +82,22 @@ type Instance struct {
 	// identical across worker counts. Checksum and ExtraOps include the
 	// shard contributions; Reset discards them.
 	ForTask func(root tree.NodeID, base nest.Spec) nest.Spec
+
+	// nodes rewrites Trace's build-order node addresses to the packing of
+	// the instance's layout (see WithLayout); nil for the build order.
+	nodes *nodeMap
+}
+
+// Tracer returns the per-visit trace of the instance under its layout: a
+// call replays the addresses work(o, i) touches, in access order, into
+// emit. Build it once per run: the returned function does not allocate.
+func (in *Instance) Tracer(emit func(memsim.Addr)) func(o, i tree.NodeID) {
+	trace := in.Trace
+	if m := in.nodes; m != nil {
+		sink := emit
+		emit = func(a memsim.Addr) { sink(m.addr(a)) }
+	}
+	return func(o, i tree.NodeID) { trace(o, i, emit) }
 }
 
 // TracedSpec returns a copy of the Spec whose Work additionally replays its
@@ -88,9 +105,9 @@ type Instance struct {
 func (in *Instance) TracedSpec(emit func(memsim.Addr)) nest.Spec {
 	s := in.Spec
 	work := s.Work
-	trace := in.Trace
+	trace := in.Tracer(emit)
 	s.Work = func(o, i tree.NodeID) {
-		trace(o, i, emit)
+		trace(o, i)
 		work(o, i)
 	}
 	return s
@@ -136,29 +153,12 @@ func (in *Instance) RunEmit(ctx context.Context, v nest.Variant, emit func(memsi
 	return e.Stats, e.EngineOps(), err
 }
 
-// RunSink is the batched form of RunEmit for simulator pipelines: each
-// visit's accesses are gathered into a reusable scratch buffer and handed to
-// sink as one EmitBatch call, amortizing the per-address emission cost on
-// the trace hot path. Batch boundaries — and therefore simulated stats —
-// are identical to emitting address-by-address.
+// RunSink is RunEmit into a simulator pipeline's sink: each address costs
+// one store into the sink's buffer, and the simulator consumes full
+// batches. The emit chain is built once per run, so a visit allocates
+// nothing.
 func (in *Instance) RunSink(ctx context.Context, v nest.Variant, sink *memsim.Sink, configure func(*nest.Exec)) (nest.Stats, int64, error) {
-	in.Reset()
-	var scratch []memsim.Addr
-	trace, work := in.Trace, in.Spec.Work
-	s := in.Spec
-	s.Work = func(o, i tree.NodeID) {
-		scratch = scratch[:0]
-		trace(o, i, func(a memsim.Addr) { scratch = append(scratch, a) })
-		sink.EmitBatch(scratch)
-		work(o, i)
-	}
-	e := nest.MustNew(s)
-	if configure != nil {
-		configure(e)
-	}
-	err := e.RunContext(ctx, v)
-	e.Stats.ExtraOps = in.ExtraOps()
-	return e.Stats, e.EngineOps(), err
+	return in.RunEmit(ctx, v, sink.Emit, configure)
 }
 
 // OracleSpec returns the Spec the semantic-equivalence oracle should check
