@@ -8,13 +8,7 @@ package memsim
 // distances, and the analytical tool behind the paper's §3.2 reasoning that
 // distances below the cache size are hits and above are misses).
 func PredictMisses(h *Histogram, capacityLines int) int64 {
-	misses := h.InfiniteCount()
-	for d, c := range h.counts {
-		if d >= capacityLines {
-			misses += c
-		}
-	}
-	return misses
+	return h.total - h.below(capacityLines)
 }
 
 // PredictMissRatio is PredictMisses normalized by the total access count

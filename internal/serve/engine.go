@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"twist/internal/layout"
 	"twist/internal/loopfront"
@@ -276,8 +277,9 @@ func (s *MissCurveSpec) exec(ctx context.Context, rec obs.Recorder) (any, error)
 
 	ra := memsim.NewReuseAnalyzer()
 	h := memsim.NewHistogram()
-	line := memsim.Addr(s.LineBytes)
-	emit := func(a memsim.Addr) { h.Add(ra.Access(a / line)) }
+	// Normalize admits only power-of-two line sizes, so a shift divides.
+	shift := bits.TrailingZeros(uint(s.LineBytes))
+	emit := func(a memsim.Addr) { h.Add(ra.Access(a >> shift)) }
 	if _, _, err := lin.RunEmit(ctx, v, emit, func(e *nest.Exec) { e.Engine = eng }); err != nil {
 		return nil, err
 	}
